@@ -164,7 +164,6 @@ class DsmApi:
         started = node.sim.now
         yield from node.lock_manager.acquire(lock_id)
         waited = node.sim.now - started
-        node.metrics.lock_wait_cycles += waited
         node.ins.lock_wait.observe(waited)
         if node.tracer:
             node.tracer.emit("sync.lock_acquired", lock=lock_id,

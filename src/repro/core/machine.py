@@ -7,7 +7,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import MachineConfig
-from repro.core.metrics import NodeMetrics, RunResult
+from repro.core.metrics import RunResult
 from repro.core.node import Node
 from repro.mem.addressing import AddressSpace, Segment
 from repro.net import build_network
@@ -53,12 +53,12 @@ class Machine:
         self.sim.attach_obs(self.obs)
         # Windowed telemetry (docs/observability.md): a
         # TimeseriesSampler rides along as a side channel like the
-        # tracer — read-only, schedules nothing, and absent by default
-        # so unsampled runs take the unmodified dispatch loops.
+        # tracer — read-only, schedules nothing, and absent by
+        # default.
         self.sampler = sampler
         if sampler is not None:
             sampler.bind(self)
-        self.network = build_network(self.sim, config)
+        self.network = build_network(self.sim, config, self.obs)
         # Robustness layer (docs/robustness.md): with any fault
         # configured, the network gets a seeded injector and node
         # traffic is routed through the reliable transport; otherwise
@@ -79,7 +79,6 @@ class Machine:
             self.network.attach(self.transport.on_network_delivery)
         else:
             self.network.attach(self._deliver)
-        self.network.attach_obs(self.obs)
         self.address_space = AddressSpace(config.words_per_page)
         self._page_owner_override: Dict[int, int] = {}
 
@@ -201,9 +200,8 @@ class Machine:
     def transmit(self, message: Message) -> None:
         """Node send entry point: reliable transport when the
         robustness layer is on, the raw network otherwise.  Looked up
-        per call so taps on ``network.transmit`` (e.g.
-        :func:`repro.analysis.timeline.attach_timeline`) keep
-        working."""
+        per call, so a wrapper patched onto ``Network.transmit`` sees
+        every send."""
         if self.transport is not None:
             self.transport.send(message)
         else:
@@ -283,23 +281,18 @@ class Machine:
             elapsed = self.sim.now
         else:
             elapsed = max(t for t in self._finished if t is not None)
-        for proc, node in enumerate(self.nodes):
-            times = [self._finished[proc * threads_per_proc + thread]
-                     for thread in range(threads_per_proc)]
-            if all(t is not None for t in times):
-                node.metrics.finish_time = max(times)
-        return RunResult(
+        finish_times = []
+        for proc in range(self.config.nprocs):
+            times = self._finished[proc * threads_per_proc:
+                                   (proc + 1) * threads_per_proc]
+            finish_times.append(None if None in times else max(times))
+        return RunResult.from_registry(
+            self.obs.registry,
             app=app,
             protocol=self.protocol_name,
-            nprocs=self.config.nprocs,
             elapsed_cycles=elapsed,
-            node_metrics=[node.metrics for node in self.nodes],
-            network_messages=self.network.stats.messages,
-            network_bytes=self.network.stats.bytes_sent,
-            network_contention_cycles=(
-                self.network.stats.contention_cycles),
+            finish_times=finish_times,
             app_result=list(self._app_results),
-            registry=self.obs.registry,
         )
 
     def _wrap_worker(self, proc: int,
@@ -313,7 +306,6 @@ class Machine:
         self._app_results[proc] = result
 
     def _all_finished(self) -> bool:
-        # O(1): run_all's stop callback runs once per dispatched event.
         return self._unfinished == 0
 
     def completion(self) -> tuple:

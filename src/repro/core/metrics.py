@@ -3,7 +3,10 @@
 These counters are the quantities the paper reports: message counts
 (split into synchronization vs. data traffic), kilobytes of shared data
 moved, access misses, diffs created, and where time went (computation,
-lock acquisition, barrier waits, software overhead).
+lock acquisition, barrier waits, software overhead).  The metrics
+registry (:mod:`repro.obs`) is the only store a run counts them in;
+:meth:`RunResult.from_registry` reads them into these views once, when
+the run ends.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
-from repro.net.message import Message, MsgKind
+from repro.net.message import MsgKind
 
 
 def json_safe(obj):
@@ -43,6 +46,34 @@ def json_safe(obj):
     return repr(obj)
 
 
+#: NodeMetrics count field <- the per-node registry metric holding it.
+_NODE_COUNTS = (
+    ("data_bytes_sent", "dsm.data_bytes_total"),
+    ("wire_bytes_sent", "dsm.wire_bytes_total"),
+    ("read_misses", "dsm.read_misses_total"),
+    ("write_misses", "dsm.write_misses_total"),
+    ("cold_misses", "dsm.cold_misses_total"),
+    ("page_transfers", "dsm.page_transfers_total"),
+    ("diffs_created", "dsm.diffs_created_total"),
+    ("diff_words_created", "dsm.diff_words_total"),
+    ("diffs_applied", "dsm.diffs_applied_total"),
+    ("invalidations", "dsm.invalidations_total"),
+    ("lock_acquires", "sync.lock_acquires_total"),
+    ("lock_local_acquires", "sync.lock_local_acquires_total"),
+    ("barrier_waits", "sync.barrier_waits_total"),
+)
+
+#: The same for the cycle fields, which are cast to float: a counter
+#: that was never incremented (or only by ints) holds an int.
+_NODE_CYCLES = (
+    ("lock_wait_cycles", "sync.lock_wait_cycles"),
+    ("barrier_wait_cycles", "sync.barrier_wait_cycles"),
+    ("compute_cycles", "cpu.compute_cycles_total"),
+    ("overhead_cycles", "cpu.overhead_cycles_total"),
+    ("miss_wait_cycles", "dsm.miss_wait_cycles"),
+)
+
+
 @dataclass
 class NodeMetrics:
     """Counters for one simulated processor."""
@@ -68,11 +99,6 @@ class NodeMetrics:
     overhead_cycles: float = 0.0
     miss_wait_cycles: float = 0.0
     finish_time: float = 0.0
-
-    def record_send(self, message: Message) -> None:
-        self.messages_sent[message.kind] += 1
-        self.data_bytes_sent += message.data_bytes
-        self.wire_bytes_sent += message.size_bytes
 
     @property
     def total_messages(self) -> int:
@@ -154,6 +180,49 @@ class RunResult:
         for metrics in self.node_metrics:
             total.update(metrics.messages_sent)
         return dict(total)
+
+    @staticmethod
+    def from_registry(registry, *, app: str, protocol: str,
+                      elapsed_cycles: float,
+                      finish_times: Sequence[Optional[float]],
+                      app_result: object = None) -> "RunResult":
+        """The result of a finished run, read from its registry.
+        ``finish_times[p]`` is node ``p``'s finish time, or None when
+        it did not finish (its ``finish_time`` then stays 0.0)."""
+        nodes = [str(proc) for proc in range(len(finish_times))]
+        sent = {node: Counter() for node in nodes}
+        # Children in creation order: each node's Counter lists kinds
+        # in the order it first sent them.
+        for labels, child in registry.get("dsm.messages_total").series():
+            sent[labels["node"]][MsgKind(labels["msg_type"])] = \
+                child.value
+        counts = [(name, registry.by_label(metric, "node"))
+                  for name, metric in _NODE_COUNTS]
+        cycles = [(name, registry.by_label(metric, "node"))
+                  for name, metric in _NODE_CYCLES]
+        node_metrics = []
+        for proc, node in enumerate(nodes):
+            fields = {name: values[node] for name, values in counts}
+            fields.update((name, float(values[node]))
+                          for name, values in cycles)
+            finish = finish_times[proc]
+            node_metrics.append(NodeMetrics(
+                proc=proc, messages_sent=sent[node],
+                finish_time=0.0 if finish is None else finish,
+                **fields))
+        return RunResult(
+            app=app,
+            protocol=protocol,
+            nprocs=len(nodes),
+            elapsed_cycles=elapsed_cycles,
+            node_metrics=node_metrics,
+            network_messages=registry.total("net.messages_total"),
+            network_bytes=registry.total("net.wire_bytes_total"),
+            network_contention_cycles=float(
+                registry.total("net.contention_cycles_total")),
+            app_result=app_result,
+            registry=registry,
+        )
 
     # -- serialization (repro.lab result cache) ------------------------
 

@@ -22,7 +22,6 @@ from heapq import heappush
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.core.config import MachineConfig
-from repro.core.metrics import NodeMetrics
 from repro.mem.copyset import CopysetTable
 from repro.mem.intervals import DiffStore, IntervalLog
 from repro.mem.pages import PageTable
@@ -40,11 +39,9 @@ class Node:
         self.proc = proc
         self.sim: Simulator = machine.sim
         self.config: MachineConfig = machine.config
-        self.metrics = NodeMetrics(proc=proc)
-        # Observability: pre-bound registry children (repro.obs) and
-        # the machine's tracer.  Every legacy NodeMetrics increment is
-        # mirrored into the registry at the same site; the parity test
-        # in tests/obs keeps the two accountings identical.
+        # Observability: pre-bound registry children (repro.obs), the
+        # only store of this node's counters, and the machine's tracer.
+        # Machine.run reads them back into a NodeMetrics at run end.
         self.ins = machine.obs.node_instruments(proc)
         self.tracer = machine.obs.tracer
 
@@ -109,9 +106,6 @@ class Node:
     def page_owner(self, page: int) -> int:
         return self.machine.page_owner(page)
 
-    def is_page_owner(self, page: int) -> bool:
-        return self.page_owner(page) == self.proc
-
     def observe_peer_vc(self, proc: int, vc: VectorClock) -> None:
         """Remember the freshest vector clock seen from ``proc``.
         Deferred: the merge happens at the next :meth:`peer_clock`
@@ -170,7 +164,6 @@ class Node:
         On a multithreaded node, threads serialize on the CPU."""
         if cycles < 0:
             raise ValueError(f"negative compute: {cycles}")
-        self.metrics.compute_cycles += cycles
         self.ins.compute_cycles.value += cycles
         if cycles == 0:
             return
@@ -201,7 +194,6 @@ class Node:
         """Application-context protocol work (overhead, diff creation).
         Counted as overhead, not computation."""
         if cycles > 0:
-            self.metrics.overhead_cycles += cycles
             self.ins.overhead_cycles.value += cycles
             yield cycles
 
@@ -212,7 +204,6 @@ class Node:
         end = start + cycles
         self._handler_busy_until = end
         self._interrupt_cycles += cycles
-        self.metrics.overhead_cycles += cycles
         self.ins.overhead_cycles.value += cycles
         return end
 
@@ -246,7 +237,6 @@ class Node:
         """Send from application context: the sender pays its software
         overhead inline, then hands the message to the network."""
         self._stamp(message)
-        self.metrics.record_send(message)
         self.ins.record_send(message)
         if self.tracer:
             self.tracer.emit("msg.send", msg=message.msg_id,
@@ -260,7 +250,6 @@ class Node:
         # must not yield, or event counts change).
         cycles = self._message_overhead(message)
         if cycles > 0:
-            self.metrics.overhead_cycles += cycles
             self.ins.overhead_cycles.value += cycles
             yield cycles
         self.machine.transmit(message)
@@ -269,7 +258,6 @@ class Node:
         """Send from handler (interrupt) context: overhead extends the
         handler-busy window and transmission starts when it ends."""
         self._stamp(message)
-        self.metrics.record_send(message)
         self.ins.record_send(message)
         if self.tracer:
             self.tracer.emit("msg.send", msg=message.msg_id,
@@ -350,7 +338,6 @@ class Node:
         done = start + cycles
         self._handler_busy_until = done
         self._interrupt_cycles += cycles
-        self.metrics.overhead_cycles += cycles
         self.ins.overhead_cycles.value += cycles
         delay = done - now
         sim._seq = seq = sim._seq + 1

@@ -103,9 +103,6 @@ class PageCopy:
             if ins is not None:
                 ins.twin_snapshots.inc()
 
-    def drop_twin(self) -> None:
-        self.twin = None
-
     def twin_dirty_ranges(self) -> List[Tuple[int, int]]:
         """Word ranges whose value differs from the twin, as a sorted
         disjoint run list — one vectorized compare over the flat

@@ -24,16 +24,13 @@ from repro.sim.engine import Simulator
 class AtmNetwork(Network):
     """Crossbar with per-port serialization."""
 
-    def __init__(self, sim: Simulator, config: MachineConfig) -> None:
-        super().__init__(sim, config)
+    def __init__(self, sim: Simulator, config: MachineConfig,
+                 obs=None) -> None:
+        super().__init__(sim, config, obs)
         nprocs = config.nprocs
         self._out_free = [0.0] * nprocs
         self._in_free = [0.0] * nprocs
-        self._obs_port_contention = None
-
-    def attach_obs(self, obs) -> None:
-        super().attach_obs(obs)
-        self._obs_port_contention = obs.registry.get(
+        self._port_contention = self.obs.registry.get(
             "net.port_contention_total").labels()
 
     def _schedule(self, message: Message) -> float:
@@ -42,8 +39,8 @@ class AtmNetwork(Network):
         start = max(now, self._out_free[message.src],
                     self._in_free[message.dst])
         waited = start - now
-        if waited > 0 and self._obs_port_contention is not None:
-            self._obs_port_contention.inc()
+        if waited > 0:
+            self._port_contention.value += 1
         end = start + wire
         self._out_free[message.src] = end
         self._in_free[message.dst] = end

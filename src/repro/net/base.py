@@ -9,65 +9,65 @@ in wire (serialization) time, propagation latency, and contention.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from heapq import heappush
 from typing import Callable, Optional
 
 from repro.core.config import MachineConfig
 from repro.net.message import Message
+from repro.obs import Observability
 from repro.sim.engine import Simulator
 
 
-@dataclass
 class NetworkStats:
-    """Aggregate traffic and contention accounting.
+    """Traffic and contention totals of one network.  They are kept
+    only in the ``net.*`` registry metrics (docs/observability.md):
+    :meth:`record` writes those children and the properties read
+    them back."""
 
-    When observability is attached (see :meth:`Network.attach_obs`)
-    every record is mirrored into the metrics registry under the
-    ``net.*`` names documented in docs/observability.md."""
-
-    messages: int = 0
-    bytes_sent: int = 0
-    data_bytes_sent: int = 0
-    busy_cycles: float = 0.0
-    contention_cycles: float = 0.0
-    collisions: int = 0
-    _obs: Optional[dict] = field(default=None, repr=False,
-                                 compare=False)
-
-    def attach_obs(self, obs) -> None:
+    def __init__(self, registry) -> None:
         # Bound children, not Metric objects: record() runs once per
-        # message, so emission must be child.inc(), not a dict lookup
-        # plus Metric._sole() indirection per field.
-        registry = obs.registry
-        self._obs = {
-            "messages": registry.get("net.messages_total").labels(),
-            "wire_bytes": registry.get("net.wire_bytes_total").labels(),
-            "data_bytes": registry.get("net.data_bytes_total").labels(),
-            "wire_cycles": registry.get("net.wire_cycles_total").labels(),
-            "contention": registry.get(
-                "net.contention_cycles_total").labels(),
-            "wire_hist": registry.get("net.wire_cycles").labels(),
-        }
+        # message.  Every net.* metric is label-free.
+        def child(name):
+            return registry.get(name).labels()
+
+        self._messages = child("net.messages_total")
+        self._wire_bytes = child("net.wire_bytes_total")
+        self._data_bytes = child("net.data_bytes_total")
+        self._wire_cycles = child("net.wire_cycles_total")
+        self._contention = child("net.contention_cycles_total")
+        self._wire_hist = child("net.wire_cycles")
+        self._collisions = child("net.collisions_total")
 
     def record(self, message: Message, wire: float, waited: float) -> None:
-        size = message.size_bytes
-        data = message.data_bytes
-        self.messages += 1
-        self.bytes_sent += size
-        self.data_bytes_sent += data
-        self.busy_cycles += wire
-        self.contention_cycles += waited
-        obs = self._obs
-        if obs is not None:
-            # Counter children are plain .value cells; skip the inc()
-            # call per field on this once-per-message path.
-            obs["messages"].value += 1
-            obs["wire_bytes"].value += size
-            obs["data_bytes"].value += data
-            obs["wire_cycles"].value += wire
-            obs["contention"].value += waited
-            obs["wire_hist"].observe(wire)
+        # Counter children are plain .value cells; skip the inc()
+        # call per field on this once-per-message path.
+        self._messages.value += 1
+        self._wire_bytes.value += message.size_bytes
+        self._data_bytes.value += message.data_bytes
+        self._wire_cycles.value += wire
+        self._contention.value += waited
+        self._wire_hist.observe(wire)
+
+    @property
+    def messages(self) -> int:
+        return self._messages.value
+
+    @property
+    def bytes_sent(self) -> int:
+        return self._wire_bytes.value
+
+    @property
+    def data_bytes_sent(self) -> int:
+        return self._data_bytes.value
+
+    @property
+    def contention_cycles(self) -> float:
+        # The counter starts as int 0; an idle network reports 0.0.
+        return float(self._contention.value)
+
+    @property
+    def collisions(self) -> int:
+        return self._collisions.value
 
 
 class Network(ABC):
@@ -86,10 +86,14 @@ class Network(ABC):
     #: happens after transmission).  IdealNetwork overrides this.
     DROP_CONSUMES_WIRE = True
 
-    def __init__(self, sim: Simulator, config: MachineConfig) -> None:
+    def __init__(self, sim: Simulator, config: MachineConfig,
+                 obs=None) -> None:
+        if obs is None:
+            obs = Observability()
         self.sim = sim
         self.config = config
-        self.stats = NetworkStats()
+        self.obs = obs
+        self.stats = NetworkStats(obs.registry)
         self.latency_cycles = config.us_to_cycles(config.network.latency_us)
         # Wire-time constants pre-fetched: wire_cycles runs once per
         # transmission; the inlined expression keeps the exact
@@ -98,7 +102,7 @@ class Network(ABC):
         self._cycles_per_second = config.cycles_per_second
         self._deliver: Optional[Callable[[Message], None]] = None
         self.faults = None
-        self._tracer = None
+        self._tracer = obs.tracer
 
     def attach(self, deliver: Callable[[Message], None]) -> None:
         """Register the machine-level delivery callback."""
@@ -107,13 +111,6 @@ class Network(ABC):
     def attach_faults(self, injector) -> None:
         """Route every transmission through a fault injector."""
         self.faults = injector
-
-    def attach_obs(self, obs) -> None:
-        """Mirror traffic stats into the metrics registry.  Subclasses
-        extend this with their model-specific metrics (collisions,
-        backoff, port contention)."""
-        self.stats.attach_obs(obs)
-        self._tracer = obs.tracer
 
     def wire_cycles(self, message: Message) -> float:
         return (message.size_bytes * 8.0 / self._wire_bps

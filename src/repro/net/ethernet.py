@@ -27,22 +27,19 @@ class EthernetNetwork(Network):
 
     MAX_CONTENDERS = 16  # backoff window stops growing past this
 
-    def __init__(self, sim: Simulator, config: MachineConfig) -> None:
-        super().__init__(sim, config)
+    def __init__(self, sim: Simulator, config: MachineConfig,
+                 obs=None) -> None:
+        super().__init__(sim, config, obs)
         self.collisions = config.network.collisions
         self.slot_cycles = config.us_to_cycles(
             config.network.backoff_slot_us)
         self._free_at = 0.0
         self._queued = 0
         self._rng = substream(config.seed, "ethernet")
-        self._obs_collisions = None
-        self._obs_backoff = None
-
-    def attach_obs(self, obs) -> None:
-        super().attach_obs(obs)
-        self._obs_collisions = obs.registry.get(
+        registry = self.obs.registry
+        self._collision_count = registry.get(
             "net.collisions_total").labels()
-        self._obs_backoff = obs.registry.get(
+        self._backoff_cycles = registry.get(
             "net.backoff_cycles_total").labels()
 
     def _schedule(self, message: Message) -> float:
@@ -63,10 +60,8 @@ class EthernetNetwork(Network):
             backoff = self._rng.uniform(0.0, window) * self.slot_cycles
             start += backoff
             waited += backoff
-            self.stats.collisions += 1
-            if self._obs_collisions is not None:
-                self._obs_collisions.inc()
-                self._obs_backoff.inc(backoff)
+            self._collision_count.value += 1
+            self._backoff_cycles.value += backoff
             end = start + wire
             self.sim.schedule(end - now, self._release_slot)
         else:

@@ -69,7 +69,7 @@ class Message:
     reply_to: Optional[int] = None  # correlating request msg_id
     # Wire length (header + data), fixed at construction.  A plain
     # attribute: it is read several times per hop (overhead model,
-    # network serialization, two metrics mirrors).
+    # network serialization, send and network metrics).
     size_bytes: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:

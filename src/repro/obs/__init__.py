@@ -96,7 +96,7 @@ class NodeInstruments:
         self.overhead_cycles = bound("cpu.overhead_cycles_total")
 
     def record_send(self, message) -> None:
-        """Mirror of :meth:`NodeMetrics.record_send` into the registry."""
+        """Count one sent message: its kind, data and wire bytes."""
         # Keyed by the enum member (C-level hash), not ``kind.value``:
         # the .value descriptor is a Python call per message.
         kind = message.kind
@@ -105,9 +105,8 @@ class NodeInstruments:
             child = self.messages.labels(node=self.node_label,
                                          msg_type=kind.value)
             self._msg_children[kind] = child
-        # Counter children are bare .value cells; this runs twice per
-        # message (send + its NodeMetrics mirror), so skip the inc()
-        # call frame per field.
+        # Counter children are bare .value cells; this runs once per
+        # message, so skip the inc() call frame per field.
         child.value += 1
         self.data_bytes.value += message.data_bytes
         self.wire_bytes.value += message.size_bytes

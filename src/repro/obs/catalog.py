@@ -3,8 +3,8 @@
 Each :class:`MetricSpec` names one metric, its type, unit, label set,
 and the paper artifact(s) that consume it.  ``docs/observability.md``
 renders this catalogue for humans; ``tests/docs`` asserts the two stay
-in sync, and the parity test in ``tests/obs`` asserts the registry
-totals agree with the legacy per-node counters bit-for-bit.
+in sync.  The registry is the only store a run counts in: the
+``NodeMetrics`` and ``RunResult`` views are read from it at run end.
 
 Naming convention: ``<layer>.<quantity>[_total]`` — ``_total`` marks a
 monotonic counter; histograms and gauges drop the suffix.  Layers:

@@ -31,9 +31,9 @@ Window semantics (docs/observability.md):
   ``k * window_us`` would have recorded — the associativity property
   ``tests/properties/test_timeseries_merge.py`` pins.
 
-Zero overhead when disabled: a machine without a sampler takes the
-unmodified fast dispatch loops (one ``is None`` check per *run*, not
-per event) and the serving pump's ``if sampler is not None:`` guard
+Zero overhead when disabled: without a sampler the dispatch loop's
+window boundary is ``inf`` (one ``is None`` check per *run*, not per
+event) and the serving pump's ``if sampler is not None:`` guard
 never fires — the 19 golden dumps stay byte-identical and
 ``benchmarks/test_perf_core.py`` bounds the instrumented-but-disabled
 configuration under 1%.  Enabled sampling is pure observation: it
@@ -132,8 +132,8 @@ class TimeseriesSampler:
     Construct with the window size (and SLO parameters for the serving
     probes), then hand it to :func:`repro.core.runner.run_app` (or
     :class:`repro.core.machine.Machine`) via the ``sampler`` keyword —
-    the machine calls :meth:`bind`, the scheduler's sampled dispatch
-    loop calls :meth:`advance_to` on boundary crossings, the serving
+    the machine calls :meth:`bind`, the scheduler's dispatch loop
+    calls :meth:`advance_to` on boundary crossings, the serving
     pump feeds :meth:`record_request`, and the machine closes the
     trailing window with :meth:`finish` when the run ends.
     """
@@ -195,9 +195,10 @@ class TimeseriesSampler:
     def _snapshot(self) -> dict:
         """Cumulative probe values.  Every probe is *live* mid-run:
         the message/byte/lock/diff metrics are incremented per event
-        by pre-bound registry children, and the sampled dispatch loop
-        maintains ``processed_events`` per event (the batched obs
-        counter flushes only at loop exit, so it is not read here)."""
+        by pre-bound registry children, and the dispatch loop brings
+        ``processed_events`` up to date before every boundary crossing
+        (the obs events counter flushes only at loop exit, so it is
+        not read here)."""
         registry = self._registry
         return {
             "events": self._sim.processed_events,
@@ -215,7 +216,7 @@ class TimeseriesSampler:
 
     def advance_to(self, time: float) -> float:
         """Close every window whose boundary is at or before ``time``;
-        returns the new next boundary.  Called by the sampled dispatch
+        returns the new next boundary.  Called by the dispatch
         loop on the heap pop that advances the clock, *before* the
         popped callback runs."""
         boundary = self.next_boundary

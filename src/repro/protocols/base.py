@@ -163,8 +163,6 @@ class BaseProtocol:
             words_created += diff.word_count
             cost += per_diff_cost
         created = len(dirty)
-        node.metrics.diffs_created += created
-        node.metrics.diff_words_created += words_created
         node.ins.diffs_created.value += created
         node.ins.diff_words.value += words_created
         record = IntervalRecord(proc=node.proc, index=index, vc=node.vc,
@@ -282,7 +280,6 @@ class BaseProtocol:
                     diffs: Sequence[Tuple[IntervalId, Diff]]) -> None:
         for (proc, index), diff in diffs:
             self.node.diff_store.put(proc, index, diff)
-            self.node.metrics.diffs_applied += 1
             self.node.ins.diffs_applied.value += 1
 
     # ------------------------------------------------------------------
@@ -349,12 +346,6 @@ class BaseProtocol:
         copy.due_cache = (vc, pending, len(pending), due, strays)
         return due
 
-    def pending_ready(self, copy: PageCopy) -> bool:
-        """True if every *due* notice's diff is locally available."""
-        return all(
-            self.node.diff_store.has(n.proc, n.index, copy.page)
-            for n in self.due_notices(copy))
-
     def apply_pending(self, copy: PageCopy) -> bool:
         """Apply every due notice's diff, in a happened-before-1 linear
         extension (ascending vector-time totals).  Returns True and
@@ -398,7 +389,6 @@ class BaseProtocol:
                 f"{self.node.proc}: seal the interval first")
         if copy.valid:
             copy.valid = False
-            self.node.metrics.invalidations += 1
             self.node.ins.invalidations.value += 1
 
     # ------------------------------------------------------------------
@@ -586,7 +576,6 @@ class BaseProtocol:
                                       valid=False)
         copy.applied = dict(payload["applied"])
         copy.pending_notices = []
-        node.metrics.page_transfers += 1
         node.ins.page_transfers.value += 1
         # Merge notices parked while we had no copy.
         parked = self.orphan_notices.pop(page, None)
@@ -718,7 +707,6 @@ class BaseProtocol:
             self.incorporate_records([record])
             for diff in diffs:
                 node.diff_store.put(record.proc, record.index, diff)
-                node.metrics.diffs_applied += 1
                 node.ins.diffs_applied.value += 1
                 if not node.pagetable.has_copy(diff.page):
                     not_cached.append(diff.page)

@@ -49,13 +49,10 @@ class LazyBase(BaseProtocol):
             return
         started = node.sim.now
         if for_write:
-            node.metrics.write_misses += 1
             node.ins.write_misses.value += 1
         else:
-            node.metrics.read_misses += 1
             node.ins.read_misses.value += 1
         if copy is None:
-            node.metrics.cold_misses += 1
             node.ins.cold_misses.value += 1
         if node.tracer:
             node.tracer.emit("protocol.page_fault", page=page,
@@ -63,7 +60,6 @@ class LazyBase(BaseProtocol):
                              cold=copy is None)
         yield from self.lazy_miss(page)
         waited = node.sim.now - started
-        node.metrics.miss_wait_cycles += waited
         node.ins.miss_wait.observe(waited)
         if node.tracer:
             node.tracer.emit("protocol.fault_done", page=page,

@@ -107,12 +107,10 @@ class BarrierManager:
             yield from self._maybe_collect_garbage()
 
     def _record_wait(self, arrived_at: float, barrier_id: int) -> None:
-        """Account one completed episode: legacy counters plus the
-        registry's sync.barrier_* metrics and an optional trace event."""
+        """Account one completed episode: the registry's
+        sync.barrier_* metrics and an optional trace event."""
         node = self.node
         waited = self.sim.now - arrived_at
-        node.metrics.barrier_waits += 1
-        node.metrics.barrier_wait_cycles += waited
         node.ins.barrier_waits.value += 1
         node.ins.barrier_wait.observe(waited)
         if node.tracer:

@@ -94,16 +94,12 @@ class LockManager:
             handoff = self.sim.event(f"lock-{lock_id}-handoff")
             state.local_waiters.append(handoff)
             yield handoff
-            node.metrics.lock_acquires += 1
-            node.metrics.lock_local_acquires += 1
             node.ins.lock_acquires.inc()
             node.ins.lock_local_acquires.inc()
             return
         if state.has_token and not state.queue:
             # Token cached locally and nobody queued: free re-acquire.
             state.held = True
-            node.metrics.lock_acquires += 1
-            node.metrics.lock_local_acquires += 1
             node.ins.lock_acquires.inc()
             node.ins.lock_local_acquires.inc()
             return
@@ -185,7 +181,6 @@ class LockManager:
         state.queue.extend(state.early_forwards)
         state.early_forwards = []
         yield from node.protocol.apply_grant(grant["payload"])
-        node.metrics.lock_acquires += 1
         node.ins.lock_acquires.inc()
 
     def release(self, lock_id: int) -> Generator:

@@ -193,7 +193,7 @@ class TestMessagePlumbing:
         machine = make_machine(nprocs=2)
         message = Message(src=1, dst=0, kind=MsgKind.PAGE_REPLY,
                           reply_to=12345)
-        machine.nodes[1].metrics.record_send(message)
+        machine.nodes[1].ins.record_send(message)
         machine.network.transmit(message)
         with pytest.raises(SimulationError, match="unexpected reply"):
             machine.sim.run()

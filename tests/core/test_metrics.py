@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.metrics import NodeMetrics, RunResult
 from repro.net.message import Message, MsgKind
+from repro.obs import Observability
 
 
 def make_result(nodes=2, **overrides):
@@ -20,23 +21,37 @@ def make_result(nodes=2, **overrides):
     return RunResult(**defaults)
 
 
+def _registry_result(sends, nodes=2):
+    """A RunResult read back from a registry that saw ``sends``."""
+    obs = Observability()
+    instruments = [obs.node_instruments(proc) for proc in range(nodes)]
+    for message in sends:
+        instruments[message.src].record_send(message)
+    return RunResult.from_registry(
+        obs.registry, app="test", protocol="lh", elapsed_cycles=1000.0,
+        finish_times=[1000.0] * nodes)
+
+
 def test_record_send_accumulates():
-    m = NodeMetrics(proc=0)
-    m.record_send(Message(src=0, dst=1, kind=MsgKind.LOCK_REQ))
-    m.record_send(Message(src=0, dst=1, kind=MsgKind.PAGE_REPLY,
-                          data_bytes=100))
+    result = _registry_result([
+        Message(src=0, dst=1, kind=MsgKind.LOCK_REQ),
+        Message(src=0, dst=1, kind=MsgKind.PAGE_REPLY, data_bytes=100)])
+    m = result.node_metrics[0]
     assert m.total_messages == 2
     assert m.sync_messages == 1
     assert m.data_bytes_sent == 100
     assert m.wire_bytes_sent > 100  # headers included
+    assert result.node_metrics[1].total_messages == 0
+    # Cycle fields nobody touched still read as floats.
+    assert m.compute_cycles == 0.0
+    assert isinstance(m.compute_cycles, float)
+    assert isinstance(result.network_contention_cycles, float)
 
 
 def test_run_result_aggregates_over_nodes():
-    result = make_result(nodes=3)
-    result.node_metrics[0].record_send(
-        Message(src=0, dst=1, kind=MsgKind.DIFF_REPLY, data_bytes=512))
-    result.node_metrics[2].record_send(
-        Message(src=2, dst=0, kind=MsgKind.BARRIER_ARRIVE))
+    result = _registry_result([
+        Message(src=0, dst=1, kind=MsgKind.DIFF_REPLY, data_bytes=512),
+        Message(src=2, dst=0, kind=MsgKind.BARRIER_ARRIVE)], nodes=3)
     assert result.total_messages == 2
     assert result.sync_messages == 1
     assert result.data_kbytes == pytest.approx(0.5)

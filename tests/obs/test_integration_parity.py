@@ -1,11 +1,14 @@
 """Registry vs. legacy-counter parity on a real run.
 
-Every legacy ``NodeMetrics`` / ``NetworkStats`` increment is mirrored
-into the metrics registry at the same call site, in the same order, so
-the two accountings must agree *bit for bit* — including float cycle
-sums.  A Jacobi run on the 100 Mbit ATM network exercises every layer:
-the event kernel, the ATM model, the protocol engine, and the
-lock/barrier managers.
+The registry is the only store a run counts in; ``NodeMetrics`` and
+the ``network_*`` fields are views read from it when the run ends, so
+comparing them with the live registry would prove nothing.  The
+legacy counters instead come from the golden dump of the same run
+(``tests/perf/golden/jacobi_li_atm4.json``), recorded when every one
+of them was still kept in a separate store.  The live registry must
+match them *bit for bit*, including float cycle sums.  A Jacobi run on
+the 100 Mbit ATM network exercises every layer: the event kernel, the
+ATM model, the protocol engine, and the lock/barrier managers.
 """
 
 import json
@@ -14,48 +17,56 @@ import pytest
 
 from repro.apps import create_app
 from repro.core.config import MachineConfig, NetworkConfig
+from repro.core.metrics import NodeMetrics
 from repro.core.runner import run_app
+from repro.lab.spec import execute_spec
 from repro.net.message import MsgKind
+from tests.perf.parity import cases, golden_path
 
-
-def _jacobi_run(protocol="li", nprocs=4):
-    return run_app(create_app("jacobi", n=24, iterations=3),
-                   MachineConfig(nprocs=nprocs,
-                                 network=NetworkConfig.atm()),
-                   protocol=protocol)
+GOLDEN = "jacobi_li_atm4"
 
 
 @pytest.fixture(scope="module")
 def result():
-    return _jacobi_run()
+    return execute_spec(dict(cases())[GOLDEN])
 
 
-def _per_node(result, attr):
-    # NodeInstruments binds every node's child eagerly, so the
-    # registry reports a (possibly zero) series for every node.
+@pytest.fixture(scope="module")
+def legacy():
+    """The golden dump's per-node and network counters."""
+    with open(golden_path(GOLDEN)) as handle:
+        golden = json.load(handle)
+    golden["node_metrics"] = [NodeMetrics.from_dict(m)
+                              for m in golden["node_metrics"]]
+    return golden
+
+
+def _per_node(legacy, attr):
     return {str(m.proc): getattr(m, attr)
-            for m in result.node_metrics}
+            for m in legacy["node_metrics"]}
 
 
-def test_message_counts_match_per_node_and_kind(result):
+def test_message_counts_match_per_node_and_kind(result, legacy):
     registry = result.registry
-    legacy_total = result.total_messages
+    legacy_total = sum(m.total_messages for m in legacy["node_metrics"])
     assert registry.total("dsm.messages_total") == legacy_total
     assert legacy_total > 0
 
     by_node = registry.by_label("dsm.messages_total", "node")
-    for metrics in result.node_metrics:
-        assert by_node.get(str(metrics.proc), 0) == \
-            metrics.total_messages
+    assert by_node == _per_node(legacy, "total_messages")
 
     by_type = registry.by_label("dsm.messages_total", "msg_type")
-    legacy_by_kind = result.messages_by_kind()
-    assert by_type == {kind.value: count
-                       for kind, count in legacy_by_kind.items()}
+    legacy_by_kind = {}
+    for metrics in legacy["node_metrics"]:
+        for kind, count in metrics.messages_sent.items():
+            legacy_by_kind[kind.value] = \
+                legacy_by_kind.get(kind.value, 0) + count
+    assert by_type == legacy_by_kind
 
 
-def test_sync_message_accounting_matches(result):
-    assert result.registry_sync_messages() == result.sync_messages
+def test_sync_message_accounting_matches(result, legacy):
+    assert result.registry_sync_messages() == \
+        sum(m.sync_messages for m in legacy["node_metrics"])
 
 
 @pytest.mark.parametrize("metric,attr", [
@@ -73,11 +84,11 @@ def test_sync_message_accounting_matches(result):
     ("sync.lock_local_acquires_total", "lock_local_acquires"),
     ("sync.barrier_waits_total", "barrier_waits"),
 ])
-def test_counter_totals_match_legacy(result, metric, attr):
+def test_counter_totals_match_legacy(result, legacy, metric, attr):
     registry = result.registry
-    legacy = sum(getattr(m, attr) for m in result.node_metrics)
-    assert registry.total(metric) == legacy
-    assert registry.by_label(metric, "node") == _per_node(result, attr)
+    assert registry.total(metric) == \
+        sum(getattr(m, attr) for m in legacy["node_metrics"])
+    assert registry.by_label(metric, "node") == _per_node(legacy, attr)
 
 
 @pytest.mark.parametrize("metric,attr", [
@@ -87,23 +98,24 @@ def test_counter_totals_match_legacy(result, metric, attr):
     ("cpu.compute_cycles_total", "compute_cycles"),
     ("cpu.overhead_cycles_total", "overhead_cycles"),
 ])
-def test_cycle_sums_match_legacy_bit_for_bit(result, metric, attr):
-    # Float sums: mirrored at the same sites in the same order, so
-    # exact equality is required, not approx.
+def test_cycle_sums_match_legacy_bit_for_bit(result, legacy, metric,
+                                             attr):
+    # Float sums accumulated in the same order as the legacy fields
+    # were, so exact equality is required, not approx.
     registry = result.registry
-    legacy = sum(getattr(m, attr) for m in result.node_metrics)
-    assert registry.total(metric) == legacy
-    assert registry.by_label(metric, "node") == _per_node(result, attr)
+    assert registry.total(metric) == \
+        sum(getattr(m, attr) for m in legacy["node_metrics"])
+    assert registry.by_label(metric, "node") == _per_node(legacy, attr)
 
 
-def test_network_stats_match_registry(result):
+def test_network_stats_match_registry(result, legacy):
     registry = result.registry
     assert registry.total("net.messages_total") == \
-        result.network_messages
+        legacy["network_messages"]
     assert registry.total("net.wire_bytes_total") == \
-        result.network_bytes
+        legacy["network_bytes"]
     assert registry.total("net.contention_cycles_total") == \
-        result.network_contention_cycles
+        legacy["network_contention_cycles"]
     # The wire-time histogram saw every message.
     wire = registry.get("net.wire_cycles").labels()
     assert wire.count == result.network_messages

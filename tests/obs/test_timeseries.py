@@ -73,6 +73,16 @@ def test_windows_partition_the_run():
             "dsm.messages_total", "msg_type").items() if count}
 
 
+def test_window_event_counts_are_live():
+    # The dispatch loop brings processed_events up to date before each
+    # window closes, so a window's events are those dispatched in it,
+    # not all credited to the last window.
+    sampler, _result = _run_sampled()
+    busy = [w for w in sampler.windows if w.messages]
+    assert len(busy) > 1
+    assert all(w.events > 0 for w in busy)
+
+
 def test_sampling_does_not_perturb_the_run():
     # The sampler only reads: the RunResult (elapsed, metrics, app
     # output — the full canonical dump) must be byte-identical with

@@ -164,9 +164,9 @@ class TestInvalidation:
         machine, node = make_node()
         node.protocol.invalidate_page(0)
         assert not node.pagetable.get(0).valid
-        assert node.metrics.invalidations == 1
+        assert node.ins.invalidations.value == 1
         node.protocol.invalidate_page(0)  # idempotent
-        assert node.metrics.invalidations == 1
+        assert node.ins.invalidations.value == 1
 
 
 class TestGrantPayload:

@@ -232,9 +232,9 @@ class TestResource:
 
 
 class TestObsCounterBatching:
-    """The inlined dispatch loops batch event counters locally and
-    fold them into the metrics registry once per run — exactly once,
-    whether events flow through run(), run_all(), or step()."""
+    """The dispatch loop batches event counters locally and folds
+    them into the metrics registry once per run — exactly once, and in
+    the same order, whichever wrapper drives it."""
 
     @staticmethod
     def _observed_sim():
@@ -279,23 +279,101 @@ class TestObsCounterBatching:
         assert sim.processed_events == 1
         assert events.labels().value == 1
 
-    def test_run_all_counts_match_plain_run(self):
-        def program(sim):
-            def proc():
-                for _ in range(3):
-                    yield 1.0
+    # A clock so large that adding 1.0 rounds away: a positive-delay
+    # schedule there lands on the heap due exactly at ``now``.
+    FAR = 2.0 ** 53
 
-            sim.spawn(proc())
-            sim.spawn(proc())
+    @classmethod
+    def _program(cls, sim):
+        """Zero-delay events, timed events, a heap entry due at
+        ``now``, an event and a process to stop on.  Returns the
+        callback log, the event and the process."""
+        log = []
+        milestone = sim.event("milestone")
 
-        sim_a, events_a = self._observed_sim()
-        program(sim_a)
-        sim_a.run()
-        sim_b, events_b = self._observed_sim()
-        program(sim_b)
-        sim_b.run_all()
-        assert events_a.labels().value == events_b.labels().value
-        assert sim_a.processed_events == sim_b.processed_events
+        def note(name, *then):
+            def callback():
+                log.append((name, sim.now))
+                for delay, child in then:
+                    sim.schedule(delay, child)
+            return callback
+
+        def far():
+            log.append(("far", sim.now))
+            sim.schedule(0.0, note("far-ready-1"))
+            sim.schedule(1.0, note("far-heap-at-now"))
+            sim.schedule(0.0, note("far-ready-2"))
+            milestone.succeed()
+
+        def worker():
+            for delay in (0, 1.5, 0.0, 2.0):
+                yield delay
+                log.append(("worker", sim.now))
+            yield sim.timeout(0.5)
+            log.append(("worker-done", sim.now))
+            return "done"
+
+        sim.schedule(0.0, note("a", (0.0, note("a-child")),
+                               (1.0, note("a-timed"))))
+        sim.schedule(0.0, note("b"))
+        sim.schedule(1.0, note("t1", (0.0, note("t1-child"))))
+        sim.schedule(2.0, note("t2a"))
+        sim.schedule(2.0, note("t2b", (3.0, note("t5"))))
+        sim.schedule(cls.FAR, far)
+        sim.schedule(cls.FAR + 2.0 ** 12, note("after-far"))
+        process = sim.spawn(worker())
+        milestone.add_callback(lambda _event: log.append(
+            ("milestone-cb", sim.now)))
+        return log, milestone, process
+
+    @classmethod
+    def _drive(cls, how):
+        sim, events = cls._observed_sim()
+        log, milestone, process = cls._program(sim)
+        if how == "run":
+            sim.run()
+        elif how == "run-until-time":
+            for bound in (0.0, 0.5, 1.0, 1.5, 2.0, 4.0, cls.FAR,
+                          cls.FAR + 1.0):
+                sim.run(until=bound)
+                # Everything due at or before the bound ran; nothing
+                # later did.
+                assert log[-1][1] <= bound
+                assert sim._queue[0][0] > bound and not sim._ready
+            sim.run()
+        elif how == "run-until-event":
+            sim.run_until(milestone)
+            assert milestone.triggered
+            sim.run()
+        elif how == "run-process":
+            assert sim.run_process(process) == "done"
+            sim.run()
+        elif how == "max-events":
+            while sim.pending:
+                sim.run(max_events=3)
+        elif how == "step":
+            while sim.step():
+                pass
+        depth = sim._obs_queue_depth.value
+        return (log, sim.now, sim.processed_events,
+                events.labels().value, depth)
+
+    @pytest.mark.parametrize("how", [
+        "run-until-time", "run-until-event", "run-process",
+        "max-events", "step"])
+    def test_wrappers_dispatch_in_order(self, how):
+        reference = self._drive("run")
+        log, now, processed, counted, depth = reference
+        names = [name for name, _ in log]
+        # The heap entry due at ``now`` runs between the ready events
+        # scheduled around it, in sequence order.
+        assert names.index("far-ready-1") < names.index(
+            "far-heap-at-now") < names.index("far-ready-2")
+        assert dict(log)["far-heap-at-now"] == self.FAR
+        assert now == self.FAR + 2.0 ** 12
+        assert processed == counted > len(log)
+        assert depth > 1
+        assert self._drive(how) == reference
 
 
 def test_yield_bare_float_is_timeout():
