@@ -59,7 +59,7 @@ class EventDrivenApplication(Application):
     ascending by arrival) and :meth:`handle_request` (a generator:
     the DSM work one request does).  The existing loop-structured
     apps are untouched — this is a sibling, not a rewrite, which is
-    what keeps the 18 golden dumps byte-identical.
+    what keeps the paper apps' golden dumps byte-identical.
     """
 
     #: Serve metrics (serve.*) are bound lazily per worker; apps that
@@ -93,20 +93,24 @@ class EventDrivenApplication(Application):
                 "serve.queue_wait_cycles").labels()
         else:
             requests_total = latency_hist = queue_hist = None
+        # Per-op request counters, created on first use so the
+        # registry lists its children in first-request order.
+        op_counters = {}
+        sim = api._node.sim
         sampler = api._node.machine.sampler
         records = []
         for request in self.schedule(proc, shared):
             arrival = config.us_to_cycles(request.arrival_us)
-            if arrival > api.now:
-                yield arrival - api.now
-            started = api.now
+            if arrival > sim.now:
+                yield arrival - sim.now
+            started = sim.now
             tracer = api.tracer
             if tracer:
                 tracer.emit("req.arrive", req=request.req_id,
                             node=proc, key=request.key,
                             op=request.op, arrival=arrival)
             yield from self.handle_request(api, proc, shared, request)
-            done = api.now
+            done = sim.now
             latency = done - arrival
             if sampler is not None:
                 sampler.record_request(latency)
@@ -115,7 +119,11 @@ class EventDrivenApplication(Application):
                             node=proc, key=request.key,
                             op=request.op, latency_cycles=latency)
             if requests_total is not None:
-                requests_total.labels(op=request.op).inc()
+                counter = op_counters.get(request.op)
+                if counter is None:
+                    counter = op_counters[request.op] = \
+                        requests_total.labels(op=request.op)
+                counter.inc()
                 latency_hist.observe(latency)
                 queue_hist.observe(started - arrival)
             records.append([request.req_id, request.key,

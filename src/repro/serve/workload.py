@@ -10,7 +10,7 @@ Model:
 
 - **key popularity** — Zipfian with exponent ``s`` over ``nkeys``
   keys (``s = 0`` degenerates to uniform).  Sampling is inverse-CDF
-  via :func:`bisect`, so one uniform draw per request.
+  via a sorted search, so one uniform draw per request.
 - **arrivals** — open loop: request *i* arrives at a scheduled
   simulated time whether or not request *i-1* has finished.  Poisson
   (exponential inter-arrival, the memoryless default) or fixed-rate
@@ -20,13 +20,22 @@ Model:
   ``client mod nprocs``, which fixes each request's serving node.
 - **read/write mix** — each request is a ``get`` with probability
   ``read_fraction``, else a ``put``.
+
+The schedule is computed a column at a time with numpy, yet it is
+exactly what one ``random.Random`` call per request per dimension
+would draw (``random()``, ``expovariate()``, ``randrange()``): each
+column decodes its substream's raw 32-bit word stream the way CPython
+does.  docs/serving.md explains the decoding.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+import math
+from itertools import accumulate, islice
+from random import Random
+from typing import Dict, List, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.rng import substream
 
@@ -34,8 +43,7 @@ from repro.core.rng import substream
 ARRIVAL_MODES = ("poisson", "fixed")
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One client request, scheduled before the simulation starts."""
 
     req_id: int       # global arrival order (ties broken by id)
@@ -86,6 +94,54 @@ def zipf_cdf(nkeys: int, s: float) -> List[float]:
     return cdf
 
 
+def _words(rng: Random, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit Mersenne Twister outputs of ``rng``,
+    in draw order.  ``getrandbits`` fills its result least significant
+    word first, so the result's little-endian bytes are the stream."""
+    return np.frombuffer(
+        rng.getrandbits(32 * count).to_bytes(4 * count, "little"),
+        dtype="<u4")
+
+
+def _uniforms(rng: Random, count: int) -> np.ndarray:
+    """``count`` successive ``rng.random()`` values: CPython's res53
+    formula, 27 high bits of one word and 26 of the next."""
+    words = _words(rng, 2 * count)
+    return ((words[0::2] >> 5) * 67108864.0
+            + (words[1::2] >> 6)) / 9007199254740992.0
+
+
+def _below(rng: Random, n: int, count: int) -> List[int]:
+    """``count`` successive ``rng.randrange(n)`` values.
+
+    ``randrange`` draws ``getrandbits(k)``, ``k = n.bit_length()``,
+    until a draw is below ``n``.  One draw takes ``ceil(k/32)`` words,
+    low word first, the last one shifted right to the bits still
+    needed.  Blocks of draws are decoded and filtered in order until
+    ``count`` survive; draws past the last survivor are never used.
+    """
+    k = n.bit_length()
+    nwords = -(-k // 32)
+    dtype = np.uint64 if k <= 64 else object
+    kept: List[np.ndarray] = []
+    while count:
+        # The expected draws per survivor are 2**k / n (at most 2).
+        draws = count * (1 << k) // n + 16
+        words = _words(rng, draws * nwords).reshape(
+            draws, nwords).astype(dtype)
+        value = words[:, -1] >> (32 * nwords - k)
+        for i in range(nwords - 2, -1, -1):
+            value = (value << 32) | words[:, i]
+        value = value[value < n][:count]
+        kept.append(value)
+        count -= len(value)
+    return np.concatenate(kept).tolist()
+
+
+#: Op names indexed by "is a read", as shared objects.
+_OPS = np.array(["put", "get"], dtype=object)
+
+
 def generate_requests(nkeys: int, requests: int, rate_rps: float,
                       read_fraction: float, zipf_s: float,
                       nclients: int, arrival: str,
@@ -100,26 +156,29 @@ def generate_requests(nkeys: int, requests: int, rate_rps: float,
     validate_workload(rate_rps, read_fraction, zipf_s, nkeys=nkeys,
                       requests=requests, nclients=nclients,
                       arrival=arrival)
-    arrivals_rng = substream(seed, "serve.arrivals")
-    keys_rng = substream(seed, "serve.keys")
-    ops_rng = substream(seed, "serve.ops")
-    clients_rng = substream(seed, "serve.clients")
-    cdf = zipf_cdf(nkeys, zipf_s)
-    cdf_total = cdf[-1]
     mean_gap_us = 1e6 / rate_rps
-    clock_us = 0.0
-    out: List[Request] = []
-    for req_id in range(requests):
-        if arrival == "poisson":
-            clock_us += arrivals_rng.expovariate(1.0 / mean_gap_us)
-        else:
-            clock_us = req_id * mean_gap_us
-        key = bisect_left(cdf, keys_rng.random() * cdf_total)
-        op = "get" if ops_rng.random() < read_fraction else "put"
-        out.append(Request(req_id=req_id,
-                           client=clients_rng.randrange(nclients),
-                           key=key, op=op, arrival_us=clock_us))
-    return out
+    if arrival == "poisson":
+        # expovariate(lambd) is -log(1 - random()) / lambd; math.log,
+        # not np.log, whose last bit can differ.  The running sum
+        # stays sequential, as the clock advanced one gap at a time.
+        # Starting the sum from 0.0 keeps a -0.0 first gap at 0.0.
+        lambd = 1.0 / mean_gap_us
+        u = _uniforms(substream(seed, "serve.arrivals"), requests)
+        gaps = (-math.log(x) / lambd for x in (1.0 - u).tolist())
+        arrivals = islice(accumulate(gaps, initial=0.0), 1, None)
+    else:
+        arrivals = (np.arange(requests) * mean_gap_us).tolist()
+    cdf = zipf_cdf(nkeys, zipf_s)
+    keys = np.searchsorted(
+        np.array(cdf), _uniforms(substream(seed, "serve.keys"),
+                                 requests) * cdf[-1], side="left")
+    reads = _uniforms(substream(seed, "serve.ops"), requests) \
+        < read_fraction
+    clients = _below(substream(seed, "serve.clients"), nclients,
+                     requests)
+    return list(map(Request._make, zip(
+        range(requests), clients, keys.tolist(),
+        _OPS[reads.astype(np.intp)].tolist(), arrivals)))
 
 
 def node_schedules(schedule: Sequence[Request],

@@ -19,6 +19,7 @@ import os
 
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.lab.spec import RunSpec, execute_spec
+from repro.serve.workload import SERVE_APP_PARAMS
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -37,8 +38,9 @@ PROTOCOLS = ("lh", "li", "lu", "ei", "eu")
 def cases():
     """(name, RunSpec) for every golden case: the three most
     protocol-exercising apps under all five protocols on ATM, plus one
-    Ethernet run (contention/backoff path) and the BENCH_core
-    workload's exact jacobi/LI configuration."""
+    Ethernet run (contention/backoff path), the BENCH_core
+    workload's exact jacobi/LI configuration and one kvstore serving
+    run (request generator, pump and per-request records)."""
     out = []
     for app, params in _PARAMS.items():
         for protocol in PROTOCOLS:
@@ -75,6 +77,12 @@ def cases():
                         protocol="li",
                         config=MachineConfig(
                             nprocs=32,
+                            network=NetworkConfig.atm()))))
+    out.append(("kvstore_li_atm4",
+                RunSpec("kvstore", dict(SERVE_APP_PARAMS["small"]),
+                        protocol="li",
+                        config=MachineConfig(
+                            nprocs=4,
                             network=NetworkConfig.atm()))))
     return out
 
