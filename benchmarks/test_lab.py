@@ -24,7 +24,6 @@ from pathlib import Path
 
 from benchmarks.conftest import SCALE, run_once
 from repro.analysis.experiments import APP_PARAMS
-from repro.analysis.regression import update_summary
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.lab import Lab, RunSpec
 from repro.protocols import PROTOCOL_NAMES
@@ -138,15 +137,6 @@ def test_lab_parallel_and_warm_cache(benchmark, tmp_path):
         "byte_identical": True,
     }
     OUT.write_text(json.dumps(record, indent=2) + "\n")
-    update_summary(OUT.parent / "BENCH_summary.json", "lab", {
-        "status": "measured",
-        "parallel_speedup": record["parallel_speedup"],
-        "effective_jobs": effective_jobs,
-        "executor_startup_seconds":
-            record["executor_startup_seconds"],
-        "warm_executed": warm_stats["executed"],
-        "byte_identical": True,
-    })
     print(f"\nBENCH_lab: serial {serial_wall:.1f}s, "
           f"jobs={JOBS} (effective {effective_jobs}) "
           f"{parallel_wall:.1f}s "

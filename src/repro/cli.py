@@ -77,30 +77,31 @@ def _probability(text: str) -> float:
 
 
 def _nonnegative_us(text: str) -> float:
-    """Argparse type for durations/times in microseconds (>= 0)."""
+    """Argparse type for durations/times in microseconds: finite and
+    >= 0 (NaN and infinity are rejected)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected microseconds, got {text!r}")
-    if value < 0:
+    if not 0 <= value < float("inf"):
         raise argparse.ArgumentTypeError(
-            f"microseconds must be non-negative, got {value}")
+            f"microseconds must be finite and non-negative, got {value}")
     return value
 
 
 def _positive_rate(text: str) -> float:
     """Argparse type for offered load: requests/second, strictly
-    positive (an open-loop generator with no arrivals is a mistake,
-    not a workload)."""
+    positive and finite (an open-loop generator with no arrivals, or
+    with all of them at t=0, is a mistake, not a workload)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected requests/second, got {text!r}")
-    if not value > 0:
+    if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(
-            f"arrival rate must be > 0 requests/s, got {value}")
+            f"arrival rate must be finite and > 0 requests/s, got {value}")
     return value
 
 
@@ -156,7 +157,7 @@ def _zipf_exponent(text: str) -> float:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a Zipf exponent, got {text!r}")
-    if value < 0:
+    if not value >= 0:
         raise argparse.ArgumentTypeError(
             f"Zipf exponent must be >= 0, got {value}")
     return value

@@ -209,8 +209,10 @@ class FaultConfig:
         object.__setattr__(self, "crashes", tuple(self.crashes))
         for name in ("crash_mttf_us", "crash_mttr_us",
                      "crash_horizon_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0 <= value < float("inf"):
+                raise ValueError(
+                    f"{name} must be finite and non-negative: {value}")
         if self.crash_mttf_us and not self.crash_horizon_us:
             raise ValueError(
                 "crash_mttf_us needs crash_horizon_us > 0: the crash "

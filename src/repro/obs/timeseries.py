@@ -34,9 +34,10 @@ Window semantics (docs/observability.md):
 Zero overhead when disabled: without a sampler the dispatch loop's
 window boundary is ``inf`` (one ``is None`` check per *run*, not per
 event) and the serving pump's ``if sampler is not None:`` guard
-never fires — the 20 golden dumps stay byte-identical and
-``benchmarks/test_perf_core.py`` bounds the instrumented-but-disabled
-configuration under 1%.  Enabled sampling is pure observation: it
+never fires — the 20 golden dumps stay byte-identical
+(``tests/perf/test_sampler_parity.py``), as does the disabled tracer's
+zero-emit contract (``tests/obs/test_tracer.py`` counts its calls
+exactly).  Enabled sampling is pure observation: it
 schedules nothing and only reads, so the simulation's event sequence,
 metrics, and :class:`~repro.core.metrics.RunResult` are *identical*
 with and without it (``tests/obs/test_timeseries.py`` asserts the
@@ -144,8 +145,9 @@ class TimeseriesSampler:
         if not window_us > 0:
             raise ValueError(
                 f"window must be > 0 µs, got {window_us}")
-        if not slo_us > 0:
-            raise ValueError(f"SLO must be > 0 µs, got {slo_us}")
+        if not 0 < slo_us < math.inf:
+            raise ValueError(
+                f"SLO must be > 0 µs and finite, got {slo_us}")
         if not 0.0 < slo_target < 1.0:
             raise ValueError(
                 f"SLO target must be within (0, 1), got {slo_target}")

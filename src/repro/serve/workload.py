@@ -59,14 +59,15 @@ def validate_workload(rate_rps: float, read_fraction: float,
                       arrival: str = "poisson") -> None:
     """Reject nonsense parameters with actionable messages (the CLI
     validators reuse these bounds)."""
-    if not rate_rps > 0:
+    if not 0 < rate_rps < math.inf:
         raise ValueError(
-            f"arrival rate must be > 0 requests/s, got {rate_rps}")
+            f"arrival rate must be finite and > 0 requests/s, got "
+            f"{rate_rps}")
     if not 0.0 <= read_fraction <= 1.0:
         raise ValueError(
             f"read fraction must be within [0, 1], got "
             f"{read_fraction}")
-    if zipf_s < 0:
+    if not zipf_s >= 0:
         raise ValueError(
             f"Zipf exponent must be >= 0, got {zipf_s}")
     if nkeys < 1:

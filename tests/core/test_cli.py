@@ -180,10 +180,17 @@ def test_servesweep_writes_artifact(tmp_path, capsys):
     ["serve", "--rate", "0"],
     ["serve", "--rate", "-100"],
     ["serve", "--rate", "fast"],
+    ["serve", "--rate", "inf"],
     ["serve", "--read-fraction", "1.5"],
     ["serve", "--read-fraction", "-0.1"],
     ["serve", "--zipf-s", "-0.5"],
+    ["serve", "--zipf-s", "nan"],
     ["serve", "--slo-us", "-1"],
+    ["serve", "--slo-us", "nan"],
+    ["serve", "--slo-us", "inf"],
+    ["serve", "--crash-mttf", "nan"],
+    ["serve", "--crash-horizon", "inf"],
+    ["run", "jacobi", "--crash-mttf", "1000", "--crash-horizon", "inf"],
     ["serve", "--arrival", "bursty"],
     ["servesweep", "--read-fraction", "2"],
     ["servesweep", "--zipf-s", "-1"],

@@ -221,6 +221,11 @@ def test_crash_config_validation():
     from repro.core.config import CrashSpec
     with pytest.raises(ValueError):
         FaultConfig(crash_mttf_us=10_000.0)  # horizon required
+    with pytest.raises(ValueError, match="finite"):
+        # An infinite horizon would pre-draw crashes forever.
+        FaultConfig(crash_mttf_us=1000, crash_horizon_us=float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        FaultConfig(crash_mttf_us=float("nan"), crash_horizon_us=1000)
     with pytest.raises(ValueError):
         CrashSpec(proc=0, at_us=0.0)  # workers spawn at t=0
     with pytest.raises(ValueError):

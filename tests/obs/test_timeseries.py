@@ -38,6 +38,9 @@ def test_constructor_validation():
         TimeseriesSampler(window_us=-5.0)
     with pytest.raises(ValueError, match="SLO must be > 0"):
         TimeseriesSampler(window_us=100.0, slo_us=0.0)
+    for slo_us in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="SLO must be > 0"):
+            TimeseriesSampler(window_us=100.0, slo_us=slo_us)
     with pytest.raises(ValueError, match=r"within \(0, 1\)"):
         TimeseriesSampler(window_us=100.0, slo_target=1.0)
     with pytest.raises(ValueError, match=r"within \(0, 1\)"):

@@ -2,11 +2,19 @@
 
 import io
 import json
+import sys
+from collections import Counter
 
+import pytest
+
+from repro.core.config import FaultConfig, MachineConfig, NetworkConfig
+from repro.lab.spec import RunSpec, execute_spec
 from repro.net.message import MsgKind
 from repro.obs import (JsonlSink, MemorySink, MetricsRegistry, NullSink,
                        Observability, Span, TraceEvent, Tracer,
                        read_jsonl)
+from repro.obs.tracer import TraceSink
+from tests.perf.parity import cases
 
 
 # -- sinks -------------------------------------------------------------
@@ -201,3 +209,69 @@ def test_observability_defaults_to_disabled_tracing():
     obs = Observability()
     assert isinstance(obs.tracer.sink, NullSink)
     assert not obs.tracer
+
+
+# -- disabled tracing is free ------------------------------------------
+#
+# Every emission site is guarded by ``if tracer:`` or
+# ``tracer.sink.enabled``, so a run with the default NullSink tracer
+# must never reach an ``emit``.  Counting calls is exact and
+# host-independent, unlike timing the run against itself.
+
+#: One parity case per app: jacobi over Ethernet (bus contention),
+#: tsp (lock-heavy), water under an eager protocol, kvstore serving.
+DISABLED_CASES = dict(
+    (name, spec) for name, spec in cases()
+    if name in ("jacobi_lh_eth4", "tsp_lu_atm4", "water_ei_atm4",
+                "kvstore_li_atm4"))
+#: Message loss plus a drawn crash plan: the transport retransmit and
+#: node crash/recover emission sites only run under faults.
+DISABLED_CASES["jacobi_li_eth4_loss_crash"] = RunSpec(
+    "jacobi", dict(n=24, iterations=3), protocol="li",
+    config=MachineConfig(
+        nprocs=4, network=NetworkConfig.ethernet(),
+        faults=FaultConfig(drop_prob=0.01, crash_mttf_us=30_000.0,
+                           crash_mttr_us=5_000.0,
+                           crash_horizon_us=100_000.0)))
+
+
+def _sink_classes(cls=TraceSink):
+    yield cls
+    for subclass in cls.__subclasses__():
+        yield from _sink_classes(subclass)
+
+
+def _run_counting_tracer_calls(spec):
+    """Run ``spec`` in-process with tracing off, counting the Python
+    calls to ``Tracer.__bool__`` (the guards) and to every ``emit``."""
+    bool_code = Tracer.__bool__.__code__
+    watched = {bool_code, Tracer.emit.__code__} | {
+        cls.emit.__code__ for cls in _sink_classes()}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = execute_spec(spec)
+    finally:
+        sys.setprofile(previous)
+    guards = calls.pop(bool_code, 0)
+    emits = {f"{code.co_name} ({code.co_filename}:"
+             f"{code.co_firstlineno})": count
+             for code, count in calls.items()}
+    return result, guards, emits
+
+
+@pytest.mark.parametrize("name", sorted(DISABLED_CASES))
+def test_disabled_tracing_never_reaches_emit(name):
+    result, guards, emits = _run_counting_tracer_calls(
+        DISABLED_CASES[name])
+    assert emits == {}
+    assert guards > 0  # not vacuous: the guards consulted the tracer
+    if name.endswith("loss_crash"):
+        assert result.registry.total("faults.drops_total") > 0
+        assert result.registry.total("faults.crashes_total") > 0

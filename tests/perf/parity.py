@@ -38,9 +38,11 @@ PROTOCOLS = ("lh", "li", "lu", "ei", "eu")
 def cases():
     """(name, RunSpec) for every golden case: the three most
     protocol-exercising apps under all five protocols on ATM, plus one
-    Ethernet run (contention/backoff path), the BENCH_core
-    workload's exact jacobi/LI configuration and one kvstore serving
-    run (request generator, pump and per-request records)."""
+    Ethernet run (contention/backoff path), two larger jacobi/LI
+    configurations (8 and 32 processors) and one kvstore serving run
+    (request generator, pump and per-request records).
+    ``tests/obs/test_tracer.py`` also reuses one case per app for its
+    disabled-tracing call count."""
     out = []
     for app, params in _PARAMS.items():
         for protocol in PROTOCOLS:
@@ -60,18 +62,15 @@ def cases():
                         config=MachineConfig(
                             nprocs=8,
                             network=NetworkConfig.atm()))))
-    # The exact benchmarks/test_perf_core.py workload (iterations=120):
-    # BENCH_core's byte_identical gate reuses this golden.
+    # The same configuration run four times longer (iterations=120).
     out.append(("perfcore_jacobi_li_atm8_it120",
                 RunSpec("jacobi", dict(n=96, iterations=120),
                         protocol="li",
                         config=MachineConfig(
                             nprocs=8,
                             network=NetworkConfig.atm()))))
-    # The BENCH_core32 workload: the large-configuration arm (32
-    # processors) that keeps the scheduler/protocol fast paths honest
-    # at high nprocs; benchmarks/test_perf_core.py reuses this golden
-    # for its byte_identical gate.
+    # The large-configuration case (32 processors): keeps the
+    # scheduler/protocol fast paths honest at high nprocs.
     out.append(("perfcore_jacobi_li_atm32",
                 RunSpec("jacobi", dict(n=128, iterations=40),
                         protocol="li",

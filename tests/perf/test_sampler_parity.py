@@ -5,8 +5,8 @@ Two gates around :mod:`repro.obs.timeseries`:
 - **disabled**: a run threaded through ``run_app(..., sampler=None)``
   — exercising the engine's per-run sampler check, the machine
   attribute, and the worker-pump guard — must reproduce every golden
-  dump byte for byte (the zero-overhead-when-off contract also bounded
-  by BENCH_core's NullSink arm);
+  dump byte for byte (the disabled tracer's zero-emit contract is
+  pinned separately by ``tests/obs/test_tracer.py``);
 - **enabled**: attaching a live sampler must *still* reproduce the
   golden bytes, because sampling only reads — it never schedules,
   never perturbs dispatch order, and never shows up in the RunResult.

@@ -29,9 +29,11 @@ GEN_ARGS = dict(nkeys=16, requests=200, rate_rps=50_000.0,
 @pytest.mark.parametrize("field,value,message", [
     ("rate_rps", 0.0, "arrival rate"),
     ("rate_rps", -5.0, "arrival rate"),
+    ("rate_rps", float("inf"), "arrival rate"),
     ("read_fraction", -0.1, "read fraction"),
     ("read_fraction", 1.5, "read fraction"),
     ("zipf_s", -0.01, "Zipf exponent"),
+    ("zipf_s", float("nan"), "Zipf exponent"),
     ("nkeys", 0, "at least one key"),
     ("requests", 0, "at least one request"),
     ("nclients", 0, "at least one client"),
